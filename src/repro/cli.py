@@ -253,20 +253,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # Segment-memoization pass: the same tiny campaign twice through one
     # shared cache, so the memo.* contract counters (hits / misses /
     # stores / bytes) surface in the table with real values.
+    from repro.faults.campaign import CampaignRunner
     from repro.perf.memo import SegmentMemo
-    from repro.perf.parallel import run_campaign_parallel
 
     memo = SegmentMemo()
     for _ in range(2):
-        run_campaign_parallel(
-            name="stats-memo-demo",
-            target="repro.perf.parallel:montecarlo_trial",
-            num_segments=2,
+        CampaignRunner(
+            "stats-memo-demo",
+            "repro.perf.parallel:montecarlo_trial",
+            2,
             seed=args.seed,
             kwargs={"total_bytes": 64 * 1024 * 1024, "ptp_bytes": 1024 * 1024},
-            workers=1,
             memo=memo,
-        )
+        ).run()
 
     registry = obs.get_registry()
     if args.json:
@@ -774,7 +773,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one campaign to a running service (or run it serially).
 
     ``--serial`` bypasses the service entirely and runs the identical
-    campaign through the serial engine — the reference a service
+    campaign inline through the campaign engine — the reference a service
     report must match byte-for-byte, which is exactly how the CI smoke
     job uses it: ``repro submit --json`` vs ``repro submit --serial
     --json`` must print identical bytes.
@@ -798,19 +797,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     if args.serial:
         from repro import obs
-        from repro.perf.parallel import run_campaign_parallel
+        from repro.faults.campaign import CampaignRunner
 
         obs.reset()
-        report_dict = run_campaign_parallel(
-            name=request.name,
-            target=request.target,
-            num_segments=request.num_segments,
+        report_dict = CampaignRunner(
+            request.name,
+            request.target,
+            request.num_segments,
             seed=request.seed,
-            kwargs=request.kwargs,
             config=request.config,
-            workers=1,
+            kwargs=request.kwargs,
             max_retries=request.max_retries,
-        ).to_dict()
+        ).run().to_dict()
     else:
         report_dict, progress = submit_over_socket(
             args.host, args.port, request, timeout_s=args.timeout

@@ -136,9 +136,9 @@ class WorkerCrashError(TransientFaultError):
     """A campaign worker died mid-segment (process death or injected).
 
     Subclasses :class:`TransientFaultError` so every retry taxonomy that
-    already treats injected transients as retryable — the serial
-    :class:`~repro.faults.campaign.CampaignRunner`, the parallel engine,
-    and the service supervisor — classifies worker death the same way
+    already treats injected transients as retryable — the
+    :class:`~repro.faults.campaign.CampaignRunner` engine and the service
+    supervisor — classifies worker death the same way
     instead of propagating a raw executor exception.
     """
 

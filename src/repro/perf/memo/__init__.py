@@ -14,17 +14,17 @@ Stores are two-tier (:mod:`repro.perf.memo.store`): an in-process LRU
 with a byte budget, optionally backed by an append-only on-disk store
 with atomic temp-file/rename writes shared across workers, tenants, and
 process restarts. :class:`SegmentMemo` (:mod:`repro.perf.memo.runtime`)
-is the facade the serial runner, the parallel engine, the service tier,
-and the CLI all share.
+is the facade the campaign engine (inline and pooled), the service
+tier, and the CLI all share.
 """
 
 from repro.perf.memo.key import (
-    CODE_VERSION,
     SegmentKey,
     campaign_key,
     canonical_json,
     digest_of,
     payload_key,
+    source_digest,
 )
 from repro.perf.memo.runtime import (
     SAFE_AMBIENT_EVENTS,
@@ -40,7 +40,6 @@ from repro.perf.memo.store import (
 )
 
 __all__ = [
-    "CODE_VERSION",
     "DEFAULT_MEMORY_BUDGET",
     "SAFE_AMBIENT_EVENTS",
     "SegmentKey",
@@ -54,4 +53,5 @@ __all__ = [
     "canonical_json",
     "digest_of",
     "payload_key",
+    "source_digest",
 ]

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, field
+from functools import lru_cache
+from pathlib import Path
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+import repro
 from repro.rng import derive_seed
 
 __all__ = [
-    "CODE_VERSION",
+    "source_digest",
     "SegmentKey",
     "canonical_json",
     "digest_of",
@@ -34,10 +37,23 @@ __all__ = [
     "campaign_key",
 ]
 
-#: Version salt mixed into every key. Bump when the serialized segment
-#: outcome shape (or any semantics the cached bytes depend on) changes:
-#: old entries then miss instead of replaying a stale contract.
-CODE_VERSION = "repro-memo-1"
+
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Version salt mixed into every key: sha256 over the package sources.
+
+    Any edit to a ``.py`` file of the :mod:`repro` package changes it, so
+    entries cached by other code miss instead of replaying a stale
+    result. Computed on the first key build, once per process (a few
+    milliseconds), never at import.
+    """
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return "repro-src-" + digest.hexdigest()
+
 
 #: Segment kwargs whose *values* vary run-to-run without changing the
 #: result (shared-memory snapshot names are fresh every capture). Their
@@ -77,7 +93,7 @@ class SegmentKey:
     seed: int
     attempt: int
     fault_digest: str
-    code_version: str = CODE_VERSION
+    code_version: str = field(default_factory=source_digest)
 
     def digest(self) -> str:
         """Hex store key: digest of the canonical JSON of all fields."""
@@ -153,16 +169,6 @@ def _split_kwargs(
     return stable, digest_of(payload_material) if payload_material else ""
 
 
-def _retryable_refs(retryable: Sequence[Any]) -> list:
-    refs = []
-    for exc_type in retryable:
-        if isinstance(exc_type, str):
-            refs.append(exc_type)
-        else:
-            refs.append(f"{exc_type.__module__}:{exc_type.__qualname__}")
-    return refs
-
-
 def payload_key(
     payload: Mapping[str, Any], fault_digest: str
 ) -> Optional[SegmentKey]:
@@ -209,18 +215,16 @@ def campaign_key(
     seed: int,
     index: int,
     max_retries: int,
-    retryable: Sequence[Type[BaseException]],
+    retryable: Sequence[str],
     fault_digest: str,
 ) -> Optional[SegmentKey]:
-    """Key for one serial :class:`~repro.faults.campaign.CampaignRunner`
-    segment.
+    """Key for one segment of a :class:`~repro.faults.campaign.CampaignRunner`
+    whose target is an in-process callable.
 
-    The runner's ``segment_fn`` is an arbitrary closure, so the key
-    content-addresses the campaign *identity* instead: name, config
-    dict, retry taxonomy. Callers owe the contract that ``config``
-    captures everything the segment function's behaviour depends on —
-    true for every in-repo campaign builder, which derives the closure
-    from the config it passes.
+    Such a target is an arbitrary closure, so the key content-addresses
+    the campaign *identity* instead: name, config dict, retry taxonomy
+    (``"module:qualname"`` references). Callers owe the contract that
+    ``config`` captures everything the closure's behaviour depends on.
     """
     if not _jsonable(config):
         return None
@@ -230,7 +234,7 @@ def campaign_key(
             "name": name,
             "config": dict(config),
             "max_retries": max_retries,
-            "retryable": _retryable_refs(retryable),
+            "retryable": list(retryable),
         }
     )
     snapshot_digest = ""

@@ -1,7 +1,7 @@
 """The memoization runtime: fault-plane policy, lookup/store, verify.
 
-:class:`SegmentMemo` is the object campaign runners, the parallel
-engine, and the service supervisor share. It owns three decisions:
+:class:`SegmentMemo` is the object the campaign engine, its pool
+workers, and the service supervisor share. It owns three decisions:
 
 - **whether a segment is cacheable at all** — via
   :func:`ambient_fault_digest`: an ambient fault plane whose injectors
@@ -31,7 +31,7 @@ uncached runs.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Type
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro import faults, obs
 from repro.errors import MemoIntegrityError
@@ -134,6 +134,33 @@ class SegmentMemo:
         return str(disk.directory) if disk is not None else None
 
     # -- key building ------------------------------------------------------
+    def segment_key(
+        self,
+        payload: Mapping[str, Any],
+        config: Optional[Mapping[str, Any]] = None,
+    ) -> Optional[SegmentKey]:
+        """The key for one segment payload; ``None`` = bypass, counted here.
+
+        The one place segment keys are built: an importable target keys
+        by its payload (:meth:`payload_key`); an in-process callable
+        (``payload["target"] is None``) by campaign identity and
+        ``config`` (:meth:`campaign_key`).
+        """
+        if payload["target"] is None:
+            key = self.campaign_key(
+                name=payload["name"],
+                config=config or {},
+                seed=payload["seed"],
+                index=payload["index"],
+                max_retries=payload["max_retries"],
+                retryable=payload["retryable"],
+            )
+        else:
+            key = self.payload_key(payload)
+        if key is None:
+            self.note_bypass(payload["name"])
+        return key
+
     def fault_digest(self) -> Optional[str]:
         """The fault key component in force (override or live ambient)."""
         if self._fault_digest_override is not None:
@@ -155,9 +182,9 @@ class SegmentMemo:
         seed: int,
         index: int,
         max_retries: int,
-        retryable: Sequence[Type[BaseException]],
+        retryable: Sequence[str],
     ) -> Optional[SegmentKey]:
-        """Key for a serial-runner segment; ``None`` = bypass."""
+        """Key for an in-process callable's segment; ``None`` = bypass."""
         digest = self.fault_digest()
         if digest is None:
             return None
@@ -260,9 +287,8 @@ class SegmentMemo:
         campaign: str,
         compute: Callable[[], Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Lookup-or-compute-and-store; handles ``key is None`` bypass."""
+        """Lookup-or-compute-and-store; ``key is None`` computes uncached."""
         if key is None:
-            self.note_bypass(campaign)
             return compute()
         cached = self.lookup(key, campaign=campaign, recompute=compute)
         if cached is not None:

@@ -1,33 +1,20 @@
-"""Process-parallel Monte-Carlo trial fan-out.
+"""Process-pool execution for campaign segments, plus the trial targets.
 
-Campaign segments already run under the stateless seed contract
-``derive_seed(campaign_seed, index, attempt)`` (see
-:mod:`repro.faults.campaign`), which makes them order-independent: a
-segment's stream depends only on its identity, never on what ran before
-it. This module exploits that to fan segments out across a
-:class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
-merged result **bit-identical** to a serial run:
+:class:`~repro.faults.campaign.CampaignRunner` is the one campaign
+engine; with ``workers > 1`` it hands its pending segment payloads to
+:func:`run_payloads_pooled`, which fans them across a
+:class:`~concurrent.futures.ProcessPoolExecutor`. Segments run under the
+stateless seed contract ``derive_seed(campaign_seed, index, attempt)``,
+so a segment's stream depends only on its identity, never on which
+worker ran it or what ran before; each worker records metrics into an
+isolated registry and ships the exported state back, and the engine
+folds the outcomes in segment-index order. Reports, registries and
+checkpoint bytes therefore equal an inline run's.
 
-- each worker replays :class:`~repro.faults.campaign.CampaignRunner`'s
-  exact retry protocol (same derived seeds, same record shapes, same
-  ``campaign.retries`` increments) for its segment;
-- each worker records metrics into a fresh, isolated
-  :class:`~repro.obs.Registry` and ships the structured delta back;
-- the parent merges deltas **in segment-index order** — counters add,
-  gauges overwrite, traces re-emit — so the final registry, the
-  :class:`~repro.faults.campaign.CampaignReport`, and any checkpoint file
-  all compare equal to their serial counterparts;
-- checkpoints are written through the same
-  :func:`~repro.faults.campaign.write_checkpoint` helper the serial
-  runner uses, after the merge (one atomic write per run).
-
-Backoff never sleeps in workers; like the serial runner's default
-``sleep_fn=None``, reports account backoff from attempt counts, so the
-accounting also matches.
-
-Targets must be importable top-level callables — they are shipped to
-workers as ``"module:qualname"`` strings, as are the retryable exception
-types.
+:func:`run_segment_task` is the worker-side entry point, shared with the
+campaign service's :class:`~repro.service.supervisor.WorkerPool`.
+Targets and retryable exception types travel as ``"module:qualname"``
+strings, so pooled targets must be importable top-level callables.
 """
 
 from __future__ import annotations
@@ -36,22 +23,23 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro import obs
 from repro.attacks.timing import AttackTimingModel
 from repro.dram.rowhammer import FlipStatistics, RowHammerModel
-from repro.errors import ConfigurationError, TransientFaultError, WorkerCrashError
 from repro.faults.campaign import (
     CampaignBudget,
     CampaignReport,
-    load_checkpoint_state,
-    write_checkpoint,
+    CampaignRunner,
+    qualified_name,
+    requeue_or_fail,
+    resolve_qualified,
+    run_segment,
 )
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.rng import DEFAULT_SEED, derive_seed
+from repro.rng import derive_seed
 from repro.units import GIB, MIB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -63,8 +51,7 @@ __all__ = [
     "qualified_name",
     "resolve_qualified",
     "run_segment_task",
-    "crashed_segment_outcome",
-    "run_campaign_parallel",
+    "run_payloads_pooled",
     "capture_trial_snapshot",
     "probabilistic_trial",
     "montecarlo_trial",
@@ -81,369 +68,99 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def qualified_name(obj: Any) -> str:
-    """``"module:qualname"`` reference for a picklable top-level object."""
-    module = getattr(obj, "__module__", None)
-    qualname = getattr(obj, "__qualname__", None)
-    if not module or not qualname or "<locals>" in qualname:
-        raise ConfigurationError(
-            f"{obj!r} is not an importable top-level callable; parallel "
-            "campaigns need module-level targets"
-        )
-    return f"{module}:{qualname}"
-
-
-def resolve_qualified(reference: str) -> Any:
-    """Import the object a :func:`qualified_name` reference points at."""
-    module_name, _, qualname = reference.partition(":")
-    if not module_name or not qualname:
-        raise ConfigurationError(f"malformed qualified reference {reference!r}")
-    try:
-        target: Any = import_module(module_name)
-    except ImportError as exc:
-        raise ConfigurationError(
-            f"cannot import {module_name!r} for {reference!r}: {exc}"
-        ) from None
-    for part in qualname.split("."):
-        try:
-            target = getattr(target, part)
-        except AttributeError:
-            raise ConfigurationError(
-                f"{module_name!r} has no attribute path {qualname!r}"
-            ) from None
-    return target
-
-
 def run_segment_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one segment in a worker (or inline) with an isolated registry.
+    """Run one segment payload in a worker: resolve, then :func:`run_segment`.
 
-    Mirrors ``CampaignRunner._run_segment``: same
-    ``derive_seed(campaign_seed, index, attempt)`` streams, same
-    completed/failed record shapes, same ``campaign.retries`` counting —
-    so a merged parallel run is indistinguishable from a serial one.
-
-    Also the unit of work the campaign service's supervised workers
-    execute: the payload is a plain JSON-able dict, so it can cross a
+    The unit of work of the process pool and of the campaign service's
+    supervised workers. The payload is a plain JSON-able dict (see
+    :func:`~repro.faults.campaign.segment_payloads`), so it can cross a
     process boundary, be re-enqueued after a worker death, and always
-    reproduce the same outcome (the seed contract depends only on
-    ``(seed, index, attempt)``, never on which worker ran it).
+    reproduce the same outcome.
 
     A ``payload["memo"]`` dict (``{"dir", "verify", "fault_digest"}``,
-    attached by the parent only for pooled runs with a disk-backed
-    memo) makes the worker consult and populate the shared on-disk
-    store around the computation: a segment re-enqueued after a worker
-    crash finds the bytes its first incarnation published. The
-    rebuilt memo pins the parent's fault-schedule decision via
-    ``fault_digest`` instead of probing the worker's own (empty) plane;
-    ``memo.*`` metrics counted here land in the worker's transient
-    default registry — never in the isolated registry whose exported
-    state gets cached — and are intentionally discarded with it.
+    attached only for pooled runs with a disk-backed memo) makes the
+    worker consult and populate the shared on-disk store around the
+    computation: a segment re-enqueued after a worker crash finds the
+    bytes its first incarnation published. The rebuilt memo pins the
+    parent's fault-schedule decision via ``fault_digest`` instead of
+    probing the worker's own (empty) plane; ``memo.*`` metrics counted
+    here land in the worker's transient default registry — never in the
+    isolated registry whose exported state gets cached — and are
+    intentionally discarded with it.
     """
-    memo_info = payload.get("memo")
-    if memo_info:
-        from repro.perf.memo.runtime import build_memo
-
-        memo = build_memo(
-            memo_info["dir"],
-            verify_fraction=memo_info.get("verify", 0.0),
-            fault_digest=memo_info.get("fault_digest", ""),
-        )
-        return memo.run(
-            memo.payload_key(payload),
-            campaign=payload["name"],
-            compute=partial(_segment_outcome, payload),
-        )
-    return _segment_outcome(payload)
-
-
-def _segment_outcome(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The uncached segment computation behind :func:`run_segment_task`."""
     target = resolve_qualified(payload["target"])
-    retryable: Tuple[Type[BaseException], ...] = tuple(
-        resolve_qualified(reference) for reference in payload["retryable"]
+    retryable = tuple(resolve_qualified(reference) for reference in payload["retryable"])
+    compute = partial(run_segment, target, retryable, payload)
+    memo_info = payload.get("memo")
+    if not memo_info:
+        return compute()
+    from repro.perf.memo.runtime import build_memo
+
+    memo = build_memo(
+        memo_info["dir"],
+        verify_fraction=memo_info.get("verify", 0.0),
+        fault_digest=memo_info.get("fault_digest", ""),
     )
-    index = payload["index"]
-    name = payload["name"]
-    campaign_seed = payload["seed"]
-    max_retries = payload["max_retries"]
-    kwargs = payload["kwargs"]
-    previous = obs.get_registry()
-    registry = obs.set_registry(obs.Registry())
-    try:
-        attempt = 0
-        while True:
-            segment_seed = derive_seed(campaign_seed, index, attempt)
-            try:
-                result = target(index, segment_seed, **kwargs)
-            except retryable as exc:
-                attempt += 1
-                if attempt > max_retries:
-                    record: Dict[str, Any] = {
-                        "attempts": attempt,
-                        "error": str(exc),
-                        "error_type": type(exc).__name__,
-                    }
-                    ok = False
-                    break
-                obs.inc("campaign.retries", campaign=name)
-                continue
-            record = {"attempts": attempt + 1, "result": result}
-            ok = True
-            break
-    finally:
-        obs.set_registry(previous)
-    return {
-        "index": index,
-        "ok": ok,
-        "record": record,
-        "obs_state": registry.export_state(),
-    }
+    return memo.run(memo.segment_key(payload), campaign=payload["name"], compute=compute)
 
 
-#: Backwards-compatible alias (pre-service name).
-_run_segment_task = run_segment_task
-
-
-def crashed_segment_outcome(index: int, message: str) -> Dict[str, Any]:
-    """Terminal failed-segment outcome for a segment lost to worker death.
-
-    Shaped exactly like a :func:`run_segment_task` failure record so the
-    merge loop, checkpoints, and reports need no special case. The empty
-    obs delta reflects reality: the segment never ran to completion
-    anywhere, so it contributed no metrics.
-    """
-    return {
-        "index": index,
-        "ok": False,
-        "record": {
-            "attempts": 1,
-            "error": message,
-            "error_type": WorkerCrashError.__name__,
-        },
-        "obs_state": obs.Registry().export_state(),
-    }
-
-
-def _run_payloads_pooled(
+def run_payloads_pooled(
     payloads: List[Dict[str, Any]],
     worker_count: int,
     *,
     campaign: str,
+    memo: Optional["SegmentMemo"] = None,
+    keys: Optional[Mapping[int, "SegmentKey"]] = None,
     max_requeues: int = DEFAULT_MAX_REQUEUES,
 ) -> Dict[int, Dict[str, Any]]:
     """Fan payloads across a process pool, surviving worker death.
 
     A worker process dying (OOM kill, segfault, ``os._exit`` in a
     target) surfaces as :class:`BrokenProcessPool` on every in-flight
-    future. Instead of propagating that raw executor exception, this
-    classifies the death into the retryable taxonomy: the pool is
-    rebuilt (counted as ``service.worker_restarts``), segments without
-    an outcome are re-enqueued — the stateless seed contract guarantees
-    a re-run from attempt 0 is byte-identical — and a segment that
-    exhausts its requeue budget is recorded as a failed segment with
-    ``error_type: "WorkerCrashError"`` rather than crashing the run.
+    future. The pool is rebuilt (counted as ``service.worker_restarts``)
+    and segments without an outcome go through
+    :func:`~repro.faults.campaign.requeue_or_fail`: re-enqueued, or
+    recorded failed with ``error_type: "WorkerCrashError"`` once their
+    requeue budget is spent. Other errors propagate.
+
+    With a disk-backed ``memo``, payloads the parent keyed (``keys``)
+    carry the disk tier to their worker, so a re-enqueued segment hits
+    what its dead first incarnation published.
     """
+    if memo is not None and memo.disk_directory is not None and keys:
+        for payload in payloads:
+            key = keys.get(payload["index"])
+            if key is not None:
+                payload["memo"] = {
+                    "dir": memo.disk_directory,
+                    "verify": memo.verify_fraction,
+                    "fault_digest": key.fault_digest,
+                }
     outcomes: Dict[int, Dict[str, Any]] = {}
     requeues: Dict[int, int] = {}
     pending = list(payloads)
     while pending:
-        pool_size = min(worker_count, len(pending))
-        broken = False
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {
-                pool.submit(run_segment_task, payload): payload for payload in pending
-            }
+        death: Optional[BrokenProcessPool] = None
+        with ProcessPoolExecutor(max_workers=min(worker_count, len(pending))) as pool:
+            futures = [pool.submit(run_segment_task, payload) for payload in pending]
             try:
                 for future in as_completed(futures):
                     outcome = future.result()
                     outcomes[outcome["index"]] = outcome
-            except BrokenProcessPool:
-                broken = True
-        if not broken:
+            except BrokenProcessPool as exc:
+                death = exc
+        if death is None:
             break
         obs.inc("service.worker_restarts", campaign=campaign, scope="pool")
         lost = [p for p in pending if p["index"] not in outcomes]
         pending = []
         for payload in lost:
-            index = payload["index"]
-            requeues[index] = requeues.get(index, 0) + 1
-            if requeues[index] > max_requeues:
-                outcomes[index] = crashed_segment_outcome(
-                    index,
-                    f"worker process died running segment {index} "
-                    f"({max_requeues} re-enqueues exhausted)",
-                )
-            else:
+            failed = requeue_or_fail(requeues, payload["index"], max_requeues, death)
+            if failed is None:
                 pending.append(payload)
-    return outcomes
-
-
-def run_campaign_parallel(
-    *,
-    name: str,
-    target: Union[str, Callable[..., Dict[str, Any]]],
-    num_segments: int,
-    seed: Optional[int] = None,
-    kwargs: Optional[Dict[str, Any]] = None,
-    config: Optional[Dict[str, Any]] = None,
-    workers: Optional[int] = None,
-    max_retries: int = 3,
-    backoff_base_s: float = 0.5,
-    retryable: Tuple[Type[BaseException], ...] = (TransientFaultError,),
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    budget: Optional[CampaignBudget] = None,
-    resume: bool = False,
-    memo: Optional["SegmentMemo"] = None,
-) -> CampaignReport:
-    """Run a campaign's segments across worker processes; merge serially.
-
-    ``target`` is ``(index, seed, **kwargs) -> result dict`` and must be
-    an importable top-level callable (or its ``"module:qualname"``
-    string). Segment budgets apply to this call like the serial runner's;
-    wall-clock budgets are rejected — they depend on execution order,
-    which parallel fan-out does not preserve.
-
-    With a ``memo``, the parent consults the cache before fanning out
-    (hits skip dispatch entirely) and publishes fresh outcomes after the
-    merge-ordering sort; pooled workers additionally consult/populate a
-    shared disk tier directly so crash re-enqueues hit work a dead
-    worker already published. Exactly-once recording is preserved: the
-    store is append-only and keyed by content, so duplicate publication
-    of the same outcome is an idempotent no-op.
-    """
-    if num_segments < 1:
-        raise ConfigurationError(f"num_segments {num_segments} must be >= 1")
-    if max_retries < 0:
-        raise ConfigurationError(f"max_retries {max_retries} must be >= 0")
-    if budget is not None and budget.max_wall_s is not None:
-        raise ConfigurationError(
-            "wall-clock budgets require the serial CampaignRunner"
-        )
-    campaign_seed = DEFAULT_SEED if seed is None else int(seed)
-    campaign_config: Dict[str, Any] = dict(config or {})
-    target_reference = target if isinstance(target, str) else qualified_name(target)
-    resolve_qualified(target_reference)  # fail fast in the parent
-    retryable_references = [qualified_name(exc_type) for exc_type in retryable]
-
-    completed: Dict[int, Dict[str, Any]] = {}
-    failed: Dict[int, Dict[str, Any]] = {}
-    if resume:
-        if checkpoint_path is None:
-            raise ConfigurationError("resume requested without a checkpoint_path")
-        completed, failed = load_checkpoint_state(
-            checkpoint_path,
-            name=name,
-            seed=campaign_seed,
-            num_segments=num_segments,
-            config=campaign_config,
-        )
-
-    pending = [
-        index
-        for index in range(num_segments)
-        if index not in completed and index not in failed
-    ]
-    if budget is not None and budget.max_segments is not None:
-        pending = pending[: budget.max_segments]
-    payloads: List[Dict[str, Any]] = [
-        {
-            "target": target_reference,
-            "retryable": retryable_references,
-            "index": index,
-            "name": name,
-            "seed": campaign_seed,
-            "max_retries": max_retries,
-            "kwargs": dict(kwargs or {}),
-        }
-        for index in pending
-    ]
-
-    outcomes: Dict[int, Dict[str, Any]] = {}
-    memo_keys: Dict[int, "SegmentKey"] = {}
-    if memo is not None and payloads:
-        fault_digest = memo.fault_digest()
-        uncached: List[Dict[str, Any]] = []
-        for payload in payloads:
-            key = memo.payload_key(payload)
-            if key is None:
-                memo.note_bypass(name)
-                uncached.append(payload)
-                continue
-            cached = memo.lookup(
-                key, campaign=name, recompute=partial(_segment_outcome, payload)
-            )
-            if cached is not None:
-                outcomes[cached["index"]] = cached
             else:
-                memo_keys[payload["index"]] = key
-                uncached.append(payload)
-        payloads = uncached
-
-    worker_count = default_workers() if workers is None else int(workers)
-    if payloads:
-        if worker_count <= 1:
-            for payload in payloads:
-                outcome = run_segment_task(payload)
-                outcomes[outcome["index"]] = outcome
-        else:
-            if memo is not None and memo.disk_directory is not None:
-                # Pooled workers consult/populate the shared disk tier
-                # themselves; inline runs skip this (the parent already
-                # consulted above, and worker-side counting would land
-                # in the parent registry twice).
-                for payload in payloads:
-                    if payload["index"] in memo_keys:
-                        payload["memo"] = {
-                            "dir": memo.disk_directory,
-                            "verify": memo.verify_fraction,
-                            "fault_digest": memo_keys[
-                                payload["index"]
-                            ].fault_digest,
-                        }
-            outcomes = _run_payloads_pooled(
-                payloads, worker_count, campaign=name
-            )
-
-    if memo is not None:
-        for index, key in sorted(memo_keys.items()):
-            if index in outcomes:
-                # The result-cache publisher, not a per-address VM store.
-                outcomes[index] = memo.store(  # repro-lint: ignore[RL008]
-                    key, outcomes[index], campaign=name
-                )
-
-    registry = obs.get_registry()
-    for index in sorted(outcomes):
-        outcome = outcomes[index]
-        registry.merge_state(outcome["obs_state"])
-        if outcome["ok"]:
-            completed[index] = outcome["record"]
-            obs.inc("campaign.segments", campaign=name, status="completed")
-        else:
-            failed[index] = outcome["record"]
-            obs.inc("campaign.segments", campaign=name, status="failed")
-
-    if checkpoint_path is not None:
-        write_checkpoint(
-            checkpoint_path,
-            name=name,
-            seed=campaign_seed,
-            num_segments=num_segments,
-            config=campaign_config,
-            completed=completed,
-            failed=failed,
-        )
-    interrupted = (len(completed) + len(failed)) < num_segments
-    return CampaignReport(
-        name=name,
-        seed=campaign_seed,
-        num_segments=num_segments,
-        config=campaign_config,
-        backoff_base_s=backoff_base_s,
-        completed=completed,
-        failed=failed,
-        interrupted=interrupted,
-    )
+                outcomes[payload["index"]] = failed
+    return outcomes
 
 
 def _trial_kernel(total_bytes: int, row_bytes: int) -> Kernel:
@@ -609,20 +326,17 @@ def run_probabilistic_trials(
 ) -> CampaignReport:
     """Run ``trials`` independent probabilistic-attack trials.
 
-    ``workers <= 1`` uses the serial :class:`CampaignRunner` (reference
-    behaviour); ``workers > 1`` fans out with
-    :func:`run_campaign_parallel`. Both produce identical reports,
-    checkpoints and obs totals for the same seed.
+    One :class:`CampaignRunner` over :func:`probabilistic_trial`:
+    ``workers`` 1 runs inline, more fan out across processes, and both
+    produce identical reports, checkpoints and obs totals for the same
+    seed. A ``memo`` replays repeated identical runs from the cache,
+    byte-identically.
 
     ``warm_start`` captures one boot + spray world up front
     (:func:`capture_trial_snapshot`) and has every trial attach to it
     copy-on-write instead of replaying setup. The snapshot name travels
     in the segment kwargs only — never in ``config`` — so checkpoint
     files stay byte-identical to cold runs.
-
-    ``memo`` threads a :class:`~repro.perf.memo.runtime.SegmentMemo`
-    through whichever engine runs: a repeated identical run replays from
-    the cache instead of recomputing, byte-identically.
     """
     config = {"trials": int(trials), **{k: trial_kwargs[k] for k in sorted(trial_kwargs)}}
     snapshot = None
@@ -637,36 +351,18 @@ def run_probabilistic_trials(
         )
         run_kwargs["snapshot"] = snapshot.name
     try:
-        if workers <= 1:
-            from repro.faults.campaign import CampaignRunner
-
-            def segment_fn(index: int, segment_seed: int, attempt: int) -> Dict[str, Any]:
-                return probabilistic_trial(index, segment_seed, **run_kwargs)
-
-            runner = CampaignRunner(
-                name="probabilistic-trials",
-                segment_fn=segment_fn,
-                num_segments=trials,
-                seed=seed,
-                config=config,
-                budget=budget,
-                checkpoint_path=checkpoint_path,
-                memo=memo,
-            )
-            return runner.run(resume=resume)
-        return run_campaign_parallel(
-            name="probabilistic-trials",
-            target="repro.perf.parallel:probabilistic_trial",
-            num_segments=trials,
+        return CampaignRunner(
+            "probabilistic-trials",
+            "repro.perf.parallel:probabilistic_trial",
+            trials,
             seed=seed,
-            kwargs=run_kwargs,
             config=config,
+            kwargs=run_kwargs,
             workers=workers,
-            checkpoint_path=checkpoint_path,
             budget=budget,
-            resume=resume,
+            checkpoint_path=checkpoint_path,
             memo=memo,
-        )
+        ).run(resume=resume)
     finally:
         if snapshot is not None:
             snapshot.release()

@@ -59,8 +59,8 @@ class CampaignRequest:
 
     ``target`` is a ``"module:qualname"`` reference to a segment
     callable ``(index, seed, **kwargs) -> dict`` — the same contract as
-    :func:`repro.perf.parallel.run_campaign_parallel`, so a service
-    report is byte-comparable to a serial reference run of the same
+    :class:`~repro.faults.campaign.CampaignRunner`, so a service
+    report is byte-comparable to an engine reference run of the same
     (name, target, num_segments, seed, kwargs, config) tuple.
     ``tenant``/``priority``/``deadline_s`` exist only for admission and
     scheduling; none of them leak into the report.

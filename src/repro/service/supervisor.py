@@ -20,9 +20,10 @@ into the identical outcome an uninterrupted run records.
 Execution modes:
 
 - ``inline`` (default) — segments run synchronously in the event loop
-  via :func:`repro.perf.parallel.run_segment_task`. Fully deterministic;
-  crashes and hangs exist only as injected faults. This is what tests
-  and the CI smoke job drive.
+  via :func:`repro.perf.parallel.run_segment_task`, which wraps the
+  campaign engine's segment body. Fully deterministic; crashes and
+  hangs exist only as injected faults. This is what tests and the CI
+  smoke job drive.
 - ``process`` — segments run in a :class:`ProcessPoolExecutor`;
   :class:`BrokenProcessPool` is classified as a crash (pool rebuilt),
   and a per-segment timeout missing its deadline is classified as a
@@ -51,7 +52,8 @@ from repro.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.perf.parallel import crashed_segment_outcome, run_segment_task
+from repro.faults.campaign import failed_outcome, requeue_or_fail
+from repro.perf.parallel import run_segment_task
 from repro.service.admission import AdmissionTicket
 from repro.service.protocol import CampaignRequest
 from repro.service.snapshot_library import SnapshotLibrary
@@ -323,18 +325,14 @@ class WorkerPool:
                 campaign=job.request.name,
                 worker=worker_id,
             )
+            memo_key = None if self.memo is None else self.memo.segment_key(payload)
             outcome = None
-            memo_key = None
-            if self.memo is not None:
-                memo_key = self.memo.payload_key(payload)
-                if memo_key is None:
-                    self.memo.note_bypass(job.request.name)
-                else:
-                    outcome = self.memo.lookup(
-                        memo_key,
-                        campaign=job.request.name,
-                        recompute=partial(run_segment_task, payload),
-                    )
+            if memo_key is not None and self.memo is not None:
+                outcome = self.memo.lookup(
+                    memo_key,
+                    campaign=job.request.name,
+                    recompute=partial(run_segment_task, payload),
+                )
             if outcome is None:
                 outcome = await self._execute(payload)
                 if memo_key is not None and self.memo is not None:
@@ -345,16 +343,7 @@ class WorkerPool:
             self._requeue_lost(job, payload, exc)
             raise
         except Exception as exc:  # noqa: BLE001 — server must survive targets
-            outcome = {
-                "index": payload["index"],
-                "ok": False,
-                "record": {
-                    "attempts": 1,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                },
-                "obs_state": obs.Registry().export_state(),
-            }
+            outcome = failed_outcome(payload["index"], exc)
         job.record(outcome)
 
     async def _execute(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -397,21 +386,15 @@ class WorkerPool:
         ``max_requeues`` deaths on the same index record a terminal
         failed segment instead of retrying forever. A death while a
         snapshot-backed job was in flight is a circuit-breaker strike
-        against that snapshot.
+        against that snapshot. The policy is the engine's
+        :func:`~repro.faults.campaign.requeue_or_fail`.
         """
         if self.library is not None and job.snapshot_key is not None:
             self.library.strike(job.snapshot_key)
         if job.finished:
             return
-        index = payload["index"]
-        job.requeues[index] = job.requeues.get(index, 0) + 1
-        if job.requeues[index] > self.max_requeues:
-            job.record(
-                crashed_segment_outcome(
-                    index,
-                    f"worker died running segment {index} "
-                    f"({self.max_requeues} re-enqueues exhausted): {exc}",
-                )
-            )
-        else:
+        failed = requeue_or_fail(job.requeues, payload["index"], self.max_requeues, exc)
+        if failed is None:
             self._queue.put_nowait((job, payload))
+        else:
+            job.record(failed)

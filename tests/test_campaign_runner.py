@@ -9,29 +9,35 @@ seed.
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 from repro import obs
-from repro.errors import ConfigurationError, TransientFaultError
+from repro.errors import ConfigurationError, KernelError, TransientFaultError
 from repro.faults.campaign import (
     CampaignBudget,
     CampaignRunner,
     read_checkpoint,
 )
 from repro.rng import derive_seed, make_rng
+from repro.service import CampaignRequest, CampaignService
 
 
 def flaky_segment_fn(fail_attempts=(0,)):
     """A deterministic segment body that fails its first N attempts.
 
     Segment 1 raises TransientFaultError on the attempts listed in
-    ``fail_attempts``; every segment returns a result derived only from
-    its seed, so reruns and resumes reproduce it bit-for-bit.
+    ``fail_attempts`` (an attempt is numbered by the earlier calls for
+    its index); every segment returns a result derived only from its
+    seed, so reruns and resumes reproduce it bit-for-bit.
     """
+    calls = {}
 
-    def segment(index, seed, attempt):
+    def segment(index, seed):
+        attempt = calls.get(index, 0)
+        calls[index] = attempt + 1
         if index == 1 and attempt in fail_attempts:
             raise TransientFaultError("injected turbulence", fault="test")
         rng = make_rng(seed)
@@ -42,6 +48,13 @@ def flaky_segment_fn(fail_attempts=(0,)):
         }
 
     return segment
+
+
+def kernel_error_trial(index, seed):
+    """Segment 1 raises a non-retryable error; the others succeed."""
+    if index == 1:
+        raise KernelError(f"segment {index} broke")
+    return {"index": index, "seed": seed, "faults": {}}
 
 
 class TestBudget:
@@ -82,7 +95,6 @@ class TestBudget:
 
 class TestRetries:
     def test_transient_fault_retried_with_backoff(self):
-        sleeps = []
         runner = CampaignRunner(
             "t",
             flaky_segment_fn((0, 1)),
@@ -90,13 +102,11 @@ class TestRetries:
             seed=3,
             max_retries=3,
             backoff_base_s=0.5,
-            sleep_fn=sleeps.append,
         )
         report = runner.run()
         assert not report.interrupted and not report.failed
         assert report.completed[1]["attempts"] == 3
         assert report.retries == 2
-        assert sleeps == [0.5, 1.0]
         assert report.backoff_wait_s == 1.5
         counter = obs.get_registry().counter("campaign.retries")
         assert counter.value(campaign="t") == 2
@@ -119,16 +129,54 @@ class TestRetries:
     def test_retry_attempt_gets_fresh_derived_seed(self):
         seeds = []
 
-        def segment(index, seed, attempt):
-            seeds.append((index, attempt, seed))
-            if attempt == 0:
+        def segment(index, seed):
+            seeds.append((index, seed))
+            if len(seeds) == 1:
                 raise TransientFaultError("again", fault="test")
             return {}
 
         CampaignRunner("t", segment, num_segments=1, seed=9, max_retries=1).run()
-        assert seeds[0][2] == derive_seed(9, 0, 0)
-        assert seeds[1][2] == derive_seed(9, 0, 1)
-        assert seeds[0][2] != seeds[1][2]
+        assert seeds[0][1] == derive_seed(9, 0, 0)
+        assert seeds[1][1] == derive_seed(9, 0, 1)
+        assert seeds[0][1] != seeds[1][1]
+
+
+class TestNonRetryableErrors:
+    """Errors outside the retry taxonomy are not segment failures."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_propagate_out_of_the_engine(self, workers):
+        runner = CampaignRunner(
+            "t",
+            "tests.test_campaign_runner:kernel_error_trial",
+            num_segments=3,
+            seed=4,
+            workers=workers,
+        )
+        with pytest.raises(KernelError, match="segment 1 broke"):
+            runner.run()
+
+    def test_service_records_a_failed_segment(self):
+        request = CampaignRequest(
+            name="t",
+            target="tests.test_campaign_runner:kernel_error_trial",
+            num_segments=3,
+            seed=4,
+        )
+
+        async def submit():
+            service = CampaignService(workers=2)
+            service.start()
+            try:
+                return await service.submit(request)
+            finally:
+                await service.drain()
+
+        report = asyncio.run(submit())
+        assert sorted(report.completed) == [0, 2]
+        assert report.failed == {
+            1: {"attempts": 1, "error": "segment 1 broke", "error_type": "KernelError"}
+        }
 
 
 class TestCheckpointResume:

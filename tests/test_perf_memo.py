@@ -8,6 +8,12 @@ integrity verification must catch a tampered entry.
 
 import asyncio
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +29,8 @@ from repro.perf.memo import (
     build_memo,
     canonical_json,
 )
-from repro.perf.parallel import run_campaign_parallel, run_probabilistic_trials
+from repro.faults.campaign import CampaignRunner
+from repro.perf.parallel import run_probabilistic_trials
 from repro.service import CampaignRequest, CampaignService
 from repro.units import MIB
 
@@ -33,7 +40,7 @@ MC_KWARGS = {"total_bytes": 64 * MIB, "ptp_bytes": MIB}
 
 def _mc_run(memo=None, workers=1, segments=3, seed=11, name="memo-camp"):
     """A cheap, deterministic campaign (no kernel boot per segment)."""
-    return run_campaign_parallel(
+    return CampaignRunner(
         name=name,
         target=MC_TARGET,
         num_segments=segments,
@@ -41,7 +48,7 @@ def _mc_run(memo=None, workers=1, segments=3, seed=11, name="memo-camp"):
         kwargs=dict(MC_KWARGS),
         workers=workers,
         memo=memo,
-    )
+    ).run()
 
 
 def _isolated(fn):
@@ -398,3 +405,42 @@ class TestPooledWorkers:
         assert roundtrip == json.loads(canonical_json(outcome))
         assert memo.stores == 0
         assert memo.lookup(_key(), campaign="x") is None
+
+
+class TestSourceSalt:
+    def test_edited_package_misses_every_lookup(self, tmp_path):
+        """The key salt digests the package sources: after any edit, a
+        rerun against the old ``--memo-dir`` recomputes everything."""
+        original = Path(__file__).resolve().parents[1] / "src"
+        edited = tmp_path / "src"
+        shutil.copytree(
+            original / "repro",
+            edited / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        scenarios = edited / "repro" / "faults" / "scenarios.py"
+        source = scenarios.read_text(encoding="utf-8")
+        assert 'result["kind"] = kind' in source
+        scenarios.write_text(
+            source.replace('result["kind"] = kind', 'result["kind"] = str(kind)'),
+            encoding="utf-8",
+        )
+        memo_dir = tmp_path / "memo"
+
+        def chaos(src):
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "chaos", "--smoke",
+                 "--segments", "1", "--memo-dir", str(memo_dir)],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                capture_output=True,
+                text=True,
+                timeout=600,
+                check=True,
+            )
+            match = re.search(r"memo: (\d+) hits, (\d+) misses", completed.stdout)
+            assert match, completed.stdout
+            return int(match.group(1)), int(match.group(2))
+
+        assert chaos(original) == (0, 1)
+        assert chaos(original) == (1, 0)  # the salt is stable per source tree
+        assert chaos(edited) == (0, 1)

@@ -25,11 +25,11 @@ from repro.perf.bench import (
     check_baseline,
     run_bench_suite,
 )
+from repro.faults.campaign import CampaignRunner
 from repro.perf.parallel import (
     default_workers,
     qualified_name,
     resolve_qualified,
-    run_campaign_parallel,
     run_probabilistic_trials,
 )
 from repro.units import MIB, PAGE_SHIFT, PAGE_SIZE
@@ -214,10 +214,11 @@ class TestParallelCampaigns:
         from repro.faults.campaign import CampaignBudget
 
         with pytest.raises(ConfigurationError):
-            run_campaign_parallel(
+            CampaignRunner(
                 name="x",
                 target="repro.perf.parallel:probabilistic_trial",
                 num_segments=1,
+                workers=2,
                 budget=CampaignBudget(max_wall_s=1.0),
             )
 
@@ -273,14 +274,14 @@ class TestWorkerDeathRecovery:
         marker_dir.mkdir()
         kwargs = {"marker_dir": str(marker_dir)}
         obs.set_registry(obs.Registry())
-        report = run_campaign_parallel(
+        report = CampaignRunner(
             name="crashy",
             target="tests.test_perf_parallel:crash_once_trial",
             num_segments=4,
             seed=3,
             kwargs=kwargs,
             workers=2,
-        )
+        ).run()
         counters = obs.get_registry().snapshot()
         assert len(report.completed) == 4
         assert any(
@@ -288,26 +289,26 @@ class TestWorkerDeathRecovery:
         )
         # Byte-identity: serial reference (marker pre-seeded, no death).
         obs.set_registry(obs.Registry())
-        reference = run_campaign_parallel(
+        reference = CampaignRunner(
             name="crashy",
             target="tests.test_perf_parallel:crash_once_trial",
             num_segments=4,
             seed=3,
             kwargs=kwargs,
             workers=1,
-        )
+        ).run()
         assert report.to_dict() == reference.to_dict()
 
     def test_requeue_budget_exhaustion_fails_segment_terminally(self, tmp_path):
         obs.set_registry(obs.Registry())
-        report = run_campaign_parallel(
+        report = CampaignRunner(
             name="doomed",
             target="tests.test_perf_parallel:crash_always_trial",
             num_segments=3,
             seed=3,
             kwargs={"marker_dir": str(tmp_path)},
             workers=2,
-        )
+        ).run()
         assert report.failed[0]["error_type"] == "WorkerCrashError"
         assert sorted(report.completed) == [1, 2]
 

@@ -17,7 +17,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.perf.parallel import run_campaign_parallel
+from repro.faults.campaign import CampaignRunner
 from repro.service import (
     AdmissionController,
     AdmissionPolicy,
@@ -56,7 +56,7 @@ def _serial_bytes(request):
     previous = obs.get_registry()
     obs.set_registry(obs.Registry())
     try:
-        report = run_campaign_parallel(
+        report = CampaignRunner(
             name=request.name,
             target=request.target,
             num_segments=request.num_segments,
@@ -65,7 +65,7 @@ def _serial_bytes(request):
             config=dict(request.config),
             workers=1,
             max_retries=request.max_retries,
-        )
+        ).run()
     finally:
         obs.set_registry(previous)
     return json.dumps(report.to_dict(), sort_keys=True)
