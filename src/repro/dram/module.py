@@ -53,11 +53,13 @@ class DramModule:
         # Bumped whenever a backing array is dropped so external caches of
         # row views (e.g. the MMU page-table cache) can cheaply revalidate.
         self._generation = 0
-        # Cached faults.armed() result, refreshed when the fault-plane
-        # epoch moves — keeps the common disarmed read path to one int
-        # compare instead of two module lookups plus attribute probes.
+        # Cached faults.armed() / faults.listens("dram.read") results,
+        # refreshed when the fault-plane epoch moves — keeps the common
+        # disarmed read path to one int compare instead of two module
+        # lookups plus attribute probes.
         self._faults_epoch = -1
         self._faults_armed = False
+        self._read_faults_armed = False
         #: Count of writes/reads, useful for benchmarks.
         self.write_count = 0
         self.read_count = 0
@@ -99,14 +101,24 @@ class DramModule:
         """
         return self._generation
 
+    def _refresh_fault_state(self) -> None:
+        self._faults_epoch = faults.epoch()
+        self._faults_armed = faults.armed()
+        self._read_faults_armed = faults.listens("dram.read")
+
     @property
     def fault_plane_armed(self) -> bool:
         """Whether the process fault plane is armed (epoch-cached)."""
-        current = faults.epoch()
-        if current != self._faults_epoch:
-            self._faults_epoch = current
-            self._faults_armed = faults.armed()
+        if faults.epoch() != self._faults_epoch:
+            self._refresh_fault_state()
         return self._faults_armed
+
+    @property
+    def read_faults_armed(self) -> bool:
+        """Whether an armed fault plane listens for ``dram.read`` (epoch-cached)."""
+        if faults.epoch() != self._faults_epoch:
+            self._refresh_fault_state()
+        return self._read_faults_armed
 
     # -- row materialisation ----------------------------------------------
     def _row_array(self, row: int, materialize: bool = True) -> Optional[np.ndarray]:
@@ -390,9 +402,10 @@ class DramModule:
         ``positions`` are row-relative bit indices (``byte*8 + bit``).
         Returns a uint8 array of 0/1 values aligned with ``positions``.
         Counts as one read. Unlike :meth:`read_bit` this does not offer a
-        ``dram.read`` event to the fault plane — hammer hot paths fall
-        back to the scalar primitives when the plane is armed precisely so
-        fault schedules stay bit-identical (see ``RowHammerModel``).
+        ``dram.read`` event to the fault plane: while an injector listens
+        (:attr:`read_faults_armed`), callers first pass the batch's events
+        through the schedule with :meth:`repro.faults.FaultPlane.skip_quiet`
+        and read only the quiet ones here, as ``RowHammerModel`` does.
         """
         positions = np.ascontiguousarray(positions, dtype=np.int64)
         self._check_row_positions(row, positions)

@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs, sanitize
+from repro import faults, obs, sanitize
 from repro.dram.cells import CellType
 from repro.dram.module import DramModule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.rng import SeedLike, make_rng
 
 
@@ -130,10 +130,14 @@ class RowHammerModel:
         (fewer activations fit in a refresh window). The paper notes even
         high rates give no guarantee — the model keeps probability > 0.
     slow_reference:
-        Force the legacy scalar per-bit disturb path. The vectorized path
-        consumes the RNG stream identically, so both produce bit-identical
-        outcomes for the same seed — equivalence tests and ``repro bench``
-        rely on this flag for the reference side.
+        Run the scalar per-bit disturb path, the test oracle. The batched
+        path runs otherwise, armed fault plane or not, and consumes the
+        RNG streams identically, so both produce bit-identical outcomes
+        for the same seed — equivalence tests and ``repro bench`` rely on
+        this flag for the reference side. When a ``dram.read`` injector
+        listens, the batched path resolves its schedule once per victim
+        row (:meth:`repro.faults.FaultPlane.skip_quiet`) and sends only
+        the access it fires on through :meth:`DramModule.read_bit`.
     """
 
     def __init__(
@@ -293,10 +297,7 @@ class RowHammerModel:
         outcome = HammerOutcome(
             aggressor_row=aggressor_row, victim_rows=victims, activations=activations
         )
-        # An armed fault plane needs the per-access dram.read hooks of the
-        # scalar primitives so injector schedules replay identically; the
-        # vectorized path runs only when chaos is off.
-        if self._slow_reference or self._module.fault_plane_armed:
+        if self._slow_reference:
             self._disturb_scalar(outcome, victims)
         else:
             self._disturb_vectorized(outcome, victims)
@@ -340,41 +341,110 @@ class RowHammerModel:
     ) -> None:
         """Batched disturb: one masked compare + one flip write per victim row.
 
-        Consumes the RNG stream exactly like :meth:`_disturb_scalar` (one
+        Consumes the RNG streams exactly like :meth:`_disturb_scalar` (one
         uniform draw per vulnerable bit, in bit-position order, only when
-        ``activation_probability < 1``) so outcomes are bit-identical.
+        ``activation_probability < 1``; one schedule draw per ``dram.read``
+        event) so outcomes are bit-identical. A read error raised by an
+        injector leaves the module, the hammer RNG and the ``rowhammer.flips``
+        totals where the scalar loop leaves them.
         """
         module = self._module
         row_bytes = module.geometry.row_bytes
         probability = self._activation_probability
+        listening = module.read_faults_armed
         flip_totals: Dict[Tuple[str, str], int] = {}
-        for victim in victims:
-            positions, from_values, to_values = self._vulnerable_row_arrays(victim)
-            if positions.size == 0:
-                continue
-            current = module.read_bits(victim, positions)
-            flip_mask = current == from_values
-            if probability < 1.0:
-                flip_mask &= self._rng.random(positions.size) < probability
-            if not flip_mask.any():
-                continue
-            flip_positions = positions[flip_mask]
-            flip_targets = to_values[flip_mask]
-            module.apply_bit_flips(victim, flip_positions, flip_targets)
-            base = victim * row_bytes
-            cell = module.cell_map.type_of_row(victim).value
-            addresses = (base + (flip_positions >> 3)).tolist()
-            bits = (flip_positions & 7).tolist()
-            old_values = from_values[flip_mask].tolist()
-            new_values = flip_targets.tolist()
-            for address, bit, old, new in zip(addresses, bits, old_values, new_values):
-                outcome.flips.append(BitFlip(address=address, bit=bit, old=old, new=new))
-                key = (f"{old}to{new}", cell)
-                flip_totals[key] = flip_totals.get(key, 0) + 1
-        # One aggregated obs update per (direction, cell) series instead of
-        # one inc per flip; totals match the scalar path exactly.
-        for (direction, cell), count in sorted(flip_totals.items()):
-            obs.inc("rowhammer.flips", count, direction=direction, cell=cell)  # repro-lint: ignore[RL007] — aggregated
+        try:
+            for victim in victims:
+                positions, from_values, to_values = self._vulnerable_row_arrays(victim)
+                if positions.size == 0:
+                    continue
+                error: Optional[ReproError] = None
+                if listening:
+                    flip_mask, error = self._scheduled_flip_mask(
+                        victim, positions, from_values
+                    )
+                else:
+                    current = module.read_bits(victim, positions)
+                    flip_mask = current == from_values
+                    if probability < 1.0:
+                        flip_mask &= self._rng.random(positions.size) < probability
+                if flip_mask.any():
+                    flip_positions = positions[flip_mask]
+                    flip_targets = to_values[flip_mask]
+                    module.apply_bit_flips(victim, flip_positions, flip_targets)
+                    base = victim * row_bytes
+                    cell = module.cell_map.type_of_row(victim).value
+                    addresses = (base + (flip_positions >> 3)).tolist()
+                    bits = (flip_positions & 7).tolist()
+                    old_values = from_values[flip_mask].tolist()
+                    new_values = flip_targets.tolist()
+                    for address, bit, old, new in zip(addresses, bits, old_values, new_values):
+                        outcome.flips.append(BitFlip(address=address, bit=bit, old=old, new=new))
+                        key = (f"{old}to{new}", cell)
+                        flip_totals[key] = flip_totals.get(key, 0) + 1
+                if error is not None:
+                    raise error
+        finally:
+            # One aggregated obs update per (direction, cell) series instead
+            # of one inc per flip; totals match the scalar path exactly, also
+            # when a read error cuts the disturb short.
+            for (direction, cell), count in sorted(flip_totals.items()):
+                obs.inc("rowhammer.flips", count, direction=direction, cell=cell)  # repro-lint: ignore[RL007] — aggregated
+
+    def _scheduled_flip_mask(
+        self, victim: int, positions: np.ndarray, from_values: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[ReproError]]:
+        """Flip mask of one victim row while a ``dram.read`` injector listens.
+
+        Makes the accesses of :meth:`_disturb_scalar`: one ``dram.read``
+        per activated bit, in bit-position order. Each run of reads at
+        which no injector fires is skipped past in one schedule draw and
+        read with one :meth:`DramModule.read_bits`; the read an injector
+        fires on goes through :meth:`DramModule.read_bit`. When that read
+        raises, the mask covers only the bits read before it, the
+        activation draws are rewound to where the scalar loop stopped, and
+        the exception is returned for the caller to raise once those flips
+        are applied.
+        """
+        module = self._module
+        rng = self._rng
+        probability = self._activation_probability
+        if probability < 1.0:
+            draw_state = rng.bit_generator.state
+            active = np.flatnonzero(rng.random(positions.size) < probability)
+        else:
+            active = np.arange(positions.size)
+        reads = positions[active]
+        total = int(reads.size)
+        current = np.empty(total, dtype=np.uint8)
+        plane = faults.get_plane()
+        base = victim * module.geometry.row_bytes
+        done = 0
+        error: Optional[ReproError] = None
+        while done < total:
+            quiet = plane.skip_quiet("dram.read", total - done)
+            if quiet:
+                current[done : done + quiet] = module.read_bits(
+                    victim, reads[done : done + quiet]
+                )
+                # read_bits counts one read; these were ``quiet`` accesses.
+                module.read_count += quiet - 1
+                done += quiet
+            if done < total:
+                position = int(reads[done])
+                try:
+                    current[done] = module.read_bit(base + (position >> 3), position & 7)  # repro-lint: ignore[RL007] — the one access an injector fires on
+                except ReproError as exc:  # re-raised by the caller
+                    error = exc
+                    break
+                done += 1
+        flip_mask = np.zeros(positions.size, dtype=bool)
+        read = active[:done]
+        flip_mask[read] = current[:done] == from_values[read]
+        if error is not None and probability < 1.0:
+            rng.bit_generator.state = draw_state
+            rng.random(int(active[done]) + 1)
+        return flip_mask, error
 
     # -- statistics helpers ---------------------------------------------------
     def expected_flips_per_row(self, cell_type: CellType, stored_value: int) -> float:

@@ -73,6 +73,7 @@ __all__ = [
     "disarm",
     "armed",
     "epoch",
+    "listens",
     "notify",
     "install",
     "uninstall",
@@ -142,7 +143,13 @@ class FaultPlane:
         self._injectors.append(injector)
         for event in injector.events:
             self._by_event.setdefault(event, []).append(injector)
+        # A new subscription can change what an armed plane listens to.
+        _bump_epoch()
         return injector
+
+    def listens(self, event: str) -> bool:
+        """Whether the plane is armed and some injector subscribes to ``event``."""
+        return self._armed and bool(self._by_event.get(event))
 
     # -- dispatch ----------------------------------------------------------
     def dispatch(self, event: str, ctx: Mapping[str, object]) -> bool:
@@ -177,6 +184,32 @@ class FaultPlane:
         finally:
             self._in_dispatch = False
         return suppress
+
+    def skip_quiet(self, event: str, n: int) -> int:
+        """Pass the next ``n`` events named ``event`` through the schedules at once.
+
+        Returns ``m``: the count of leading events at which no injector
+        fires. Every subscribed injector is advanced past exactly those
+        ``m`` events, with the ``_seen`` counts and rng draws of ``m``
+        :meth:`dispatch` calls (``start_after`` and ``max_fires``
+        honoured), so the caller may perform them without dispatching.
+        When ``m < n`` the caller must send event ``m`` through the
+        ordinary dispatch path, where an injector fires on it. Injectors
+        whose :meth:`~FaultInjector.matches` reads the event context
+        cannot be scheduled blind; their events all go through dispatch
+        (``m == 0``).
+        """
+        if n <= 0 or not self._armed or self._in_dispatch:
+            return max(n, 0)
+        injectors = self._by_event.get(event, ())
+        if not all(injector.matches_every_event for injector in injectors):
+            return 0
+        windows = [(injector, *injector.draw_window(n)) for injector in injectors]
+        quiet = min((window[1] for window in windows), default=n)
+        if quiet < n:
+            for injector, _, undo in windows:
+                injector.rewind_window(n, quiet, undo)
+        return quiet
 
     def schedule_token(self) -> Optional[Dict[str, object]]:
         """JSON-able identity of this plane's injected-fault schedule.
@@ -217,10 +250,11 @@ class FaultPlane:
 
 _default_plane = FaultPlane()
 
-# Monotonic counter bumped whenever the armed state of *any* plane (or the
-# identity of the default plane) may have changed. Hot paths cache the
-# result of :func:`armed` keyed by this epoch instead of probing the plane
-# on every access — see ``DramModule.fault_plane_armed``.
+# Monotonic counter bumped whenever the armed state or the subscriptions
+# of *any* plane (or the identity of the default plane) may have changed.
+# Hot paths cache the results of :func:`armed` and :func:`listens` keyed by
+# this epoch instead of probing the plane on every access — see
+# ``DramModule.fault_plane_armed``.
 _epoch = 0
 
 
@@ -265,6 +299,11 @@ def disarm() -> None:
 def armed() -> bool:
     """Whether the default plane is armed."""
     return _default_plane.armed
+
+
+def listens(event: str) -> bool:
+    """Whether the default plane is armed and subscribed to ``event``."""
+    return _default_plane.listens(event)
 
 
 def notify(event: str, **ctx: object) -> bool:

@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Type
 
+import numpy as np
+
 from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
@@ -198,6 +200,40 @@ class FaultInjector:
         if self._seen <= self.spec.start_after or self.exhausted():
             return False
         return bernoulli(self._rng, self.spec.probability)
+
+    @property
+    def matches_every_event(self) -> bool:
+        """Whether :meth:`matches` ignores its context (no override)."""
+        return type(self).matches is FaultInjector.matches
+
+    def draw_window(self, n: int) -> Tuple[int, Optional[Tuple[int, dict]]]:
+        """Advance the schedule past its next ``n`` matched events at once.
+
+        Consumes exactly the draws of ``n`` :meth:`should_fire` calls in
+        one array draw, but counts no firing. Returns ``(quiet, undo)``:
+        the number of leading events at which it does not fire (``n`` when
+        none fires), and what :meth:`rewind_window` needs to cut the
+        window back (``None`` when nothing was drawn).
+        """
+        if self.exhausted():
+            free = n
+        else:
+            free = min(n, max(0, self.spec.start_after - self._seen))
+        self._seen += n
+        if free == n:
+            return n, None
+        state = self._rng.bit_generator.state
+        hits = np.flatnonzero(self._rng.random(n - free) < self.spec.probability)
+        quiet = free + int(hits[0]) if hits.size else n
+        return quiet, (free, state)
+
+    def rewind_window(self, n: int, m: int, undo: Optional[Tuple[int, dict]]) -> None:
+        """Cut a :meth:`draw_window` of ``n`` events back to its first ``m``."""
+        self._seen -= n - m
+        if undo is not None:
+            free, state = undo
+            self._rng.bit_generator.state = state
+            self._rng.random(max(0, m - free))
 
     def fire(self, event: str, ctx: Mapping[str, object]) -> bool:
         """Inject the fault; returns True to suppress the operation."""

@@ -196,8 +196,9 @@ class SimulatorSnapshot:
         module._rows = rows
         module._u64_views = {}
         kernel.mmu._pt_views = {}
-        # The pickled armed-state cache belongs to the capture process;
-        # epochs are not comparable across processes.
+        # The pickled fault-plane caches (fault_plane_armed and
+        # read_faults_armed) belong to the capture process; epochs are not
+        # comparable across processes, so force both to recompute.
         module._faults_epoch = -1
         # Keep the mapping alive as long as this kernel aliases it.
         kernel._warm_snapshot = self  # type: ignore[attr-defined]

@@ -24,7 +24,6 @@ from repro.perf.memo import (
     InMemoryMemoStore,
     SegmentKey,
     SegmentMemo,
-    TieredMemoStore,
     ambient_fault_digest,
     build_memo,
     canonical_json,

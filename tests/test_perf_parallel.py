@@ -32,7 +32,7 @@ from repro.perf.parallel import (
     resolve_qualified,
     run_probabilistic_trials,
 )
-from repro.units import MIB, PAGE_SHIFT, PAGE_SIZE
+from repro.units import MIB, PAGE_SIZE
 
 from tests.conftest import make_stock_kernel
 
@@ -82,10 +82,11 @@ class TestHammerEquivalence:
                 module_ref.read(row * 16 * 1024, 16 * 1024)
             )
 
-    def test_armed_fault_plane_forces_scalar_path(self):
-        # With the plane armed, per-read fault schedules must replay, so
-        # the model routes through the scalar reference — both configs
-        # observe the same dram.read fault stream and stay identical.
+    def test_armed_fault_plane_matches_slow_reference(self):
+        # With the plane armed the model stays on the batched path and
+        # resolves the dram.read schedule per victim row; it must observe
+        # the same fault stream as the scalar reference and stay identical
+        # (tests/test_fault_aware_hammer.py compares every observable).
         def run(slow_reference):
             faults.set_plane(faults.FaultPlane())
             faults.install(

@@ -13,7 +13,6 @@ from repro.errors import (
     AdmissionError,
     ConfigurationError,
     ServiceError,
-    SnapshotCorruptError,
     WorkerCrashError,
     WorkerHangError,
 )
