@@ -199,7 +199,7 @@ class CtaBruteForceAttack:
         if not module.fault_plane_armed:
             view = module.u64_view(base, slots)
             if view is not None:
-                return [int(raw) for raw in view]
+                return view.tolist()
         return [module.read_u64(base + slot * PTE_SIZE) for slot in range(slots)]
 
     def _snapshot_ptes(self, attacker: Process) -> List[Tuple[int, int]]:

@@ -344,6 +344,34 @@ class DramModule:
             raise ConfigurationError(f"value {value:#x} does not fit in 64 bits")
         self.write(address, value.to_bytes(8, "little"))
 
+    def write_u64_many(self, addresses: "np.ndarray", values: "np.ndarray") -> None:
+        """Write one little-endian 64-bit word per address, in order.
+
+        Equivalent to a :meth:`write_u64` loop (same contents and
+        ``write_count``): each touched row's u64 alias takes its words in
+        one fancy-indexed store, so a repeated address keeps its last
+        value. Falls back to that loop when any address is unaligned or
+        out of bounds (the scalar loop raises at the right element).
+        """
+        addrs = np.asarray(addresses, dtype=np.int64)
+        words = np.asarray(values, dtype=np.uint64)
+        row_bytes = self._geometry.row_bytes
+        if (
+            row_bytes % 8
+            or bool(np.any(addrs < 0))
+            or bool(np.any(addrs + 8 > self._geometry.total_bytes))
+            or bool(np.any(addrs & 7))
+        ):
+            for address, value in zip(addrs.tolist(), words.tolist()):
+                self.write_u64(address, value)
+            return
+        self.write_count += int(addrs.size)
+        rows = addrs // row_bytes
+        word_idx = (addrs - rows * row_bytes) >> 3
+        for row in np.unique(rows).tolist():
+            sel = rows == row
+            self.row_u64_view(row)[word_idx[sel]] = words[sel]
+
     def fill_row(self, row: int, byte: int) -> None:
         """Set every byte of global row ``row`` to ``byte``."""
         if not 0 <= byte <= 0xFF:

@@ -11,7 +11,7 @@ need not start at power-of-two-aligned pfns.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs, sanitize
 from repro.errors import ConfigurationError, OutOfMemoryError, KernelError
@@ -122,34 +122,78 @@ class BuddyAllocator:
         self._check_order(order)
         sanitize.notify("buddy.prepare_alloc", allocator=self, order=order)
         self.alloc_calls += 1
-        found_order = None
-        for candidate in range(order, MAX_ORDER + 1):
-            if self._free_lists[candidate]:
-                found_order = candidate
-                break
-        if found_order is None:
+        taken = self._take_block(order)
+        if taken is None:
             self.failed_allocs += 1
             obs.inc("buddy.failed_allocs", zone=self.name, order=order)
             raise OutOfMemoryError(
                 f"no free block of order >= {order} in pfn range "
                 f"[{self._start_pfn}, {self._end_pfn})"
             )
-        block = min(self._free_lists[found_order])
-        self._take_free(found_order, block)
-        # Split down to the requested order, freeing the upper halves.
-        while found_order > order:
-            found_order -= 1
-            self.split_count += 1
-            obs.inc("buddy.splits", zone=self.name)
-            buddy = block + (1 << found_order)
-            self._add_free(found_order, buddy)
-        self._allocated[block] = order
+        block, splits = taken
+        if splits:
+            obs.inc("buddy.splits", splits, zone=self.name)
         obs.inc("buddy.allocs", zone=self.name, order=order)
         obs.set_gauge("buddy.free_pages", self.free_pages, zone=self.name)
         sanitize.notify(
             "buddy.alloc", allocator=self, pfn=self._start_pfn + block, order=order
         )
         return self._start_pfn + block
+
+    def alloc_pages_many(
+        self, count: int, accept: Optional[Callable[[int], bool]] = None
+    ) -> List[int]:
+        """``count`` order-0 allocation rounds in one call; returns their pfns.
+
+        Each round takes pages exactly as :meth:`alloc_pages` would until
+        ``accept(pfn)`` holds (the first page when ``accept`` is None),
+        then frees the pages it rejected — the kernel's indicator-hardening
+        loop. The pfns, their order, the free lists, the counters and the
+        obs totals equal those of ``count`` such rounds of
+        :meth:`alloc_pages` / :meth:`free_pages_block`; obs is updated
+        once per call instead of once per page. Stops after the first
+        round that runs out of pages, charging that round's failure as
+        :meth:`alloc_pages` would, so the list may be shorter than
+        ``count``. Emits no sanitizer or fault-plane events: callers with
+        sanitizers enabled or an armed fault plane allocate page by page.
+        """
+        pfns: List[int] = []
+        allocs = splits = frees = merges = 0
+        failed = False
+        for _ in range(count):
+            rejected: List[int] = []
+            while True:
+                self.alloc_calls += 1
+                taken = self._take_block(0)
+                if taken is None:
+                    failed = True
+                    break
+                block, split = taken
+                allocs += 1
+                splits += split
+                pfn = self._start_pfn + block
+                if accept is None or accept(pfn):
+                    pfns.append(pfn)
+                    break
+                rejected.append(block)
+            for block in rejected:
+                merges += self._release(block)
+            frees += len(rejected)
+            if failed:
+                self.failed_allocs += 1
+                obs.inc("buddy.failed_allocs", zone=self.name, order=0)
+                break
+        if splits:
+            obs.inc("buddy.splits", splits, zone=self.name)
+        if allocs:
+            obs.inc("buddy.allocs", allocs, zone=self.name, order=0)
+        if merges:
+            obs.inc("buddy.merges", merges, zone=self.name)
+        if frees:
+            obs.inc("buddy.frees", frees, zone=self.name, order=0)
+        if allocs or frees:
+            obs.set_gauge("buddy.free_pages", self.free_pages, zone=self.name)
+        return pfns
 
     def free_pages_block(self, pfn: int, order: Optional[int] = None) -> None:
         """Free the block starting at absolute ``pfn``.
@@ -165,8 +209,43 @@ class BuddyAllocator:
             raise KernelError(
                 f"pfn {pfn} was allocated at order {recorded}, freed at {order}"
             )
-        del self._allocated[relative]
-        block, current = relative, recorded
+        merges = self._release(relative)
+        if merges:
+            obs.inc("buddy.merges", merges, zone=self.name)
+        obs.inc("buddy.frees", zone=self.name, order=recorded)
+        obs.set_gauge("buddy.free_pages", self.free_pages, zone=self.name)
+        sanitize.notify("buddy.free", allocator=self, pfn=pfn, order=recorded)
+
+    def _take_block(self, order: int) -> Optional[Tuple[int, int]]:
+        """Carve the lowest free block of the smallest order >= ``order``.
+
+        Splits it down to ``order`` (freeing the upper halves) and records
+        the allocation; returns ``(relative block, splits)``, or None when
+        no block is large enough. No obs or sanitizer side effects.
+        """
+        found_order = order
+        while not self._free_lists[found_order]:
+            found_order += 1
+            if found_order > MAX_ORDER:
+                return None
+        block = min(self._free_lists[found_order])
+        self._take_free(found_order, block)
+        splits = found_order - order
+        while found_order > order:
+            found_order -= 1
+            self._add_free(found_order, block + (1 << found_order))
+        self.split_count += splits
+        self._allocated[block] = order
+        return block, splits
+
+    def _release(self, relative: int) -> int:
+        """Free the allocated block at ``relative``, coalescing upward.
+
+        Returns the number of merges. No obs or sanitizer side effects.
+        """
+        block = relative
+        current = self._allocated.pop(relative)
+        merges = 0
         while current < MAX_ORDER:
             buddy = block ^ (1 << current)
             if buddy not in self._free_lists[current]:
@@ -174,14 +253,12 @@ class BuddyAllocator:
             if buddy + (1 << current) > self.total_pages:
                 break
             self._take_free(current, buddy)
-            self.coalesce_count += 1
-            obs.inc("buddy.merges", zone=self.name)
+            merges += 1
             block = min(block, buddy)
             current += 1
         self._add_free(current, block)
-        obs.inc("buddy.frees", zone=self.name, order=recorded)
-        obs.set_gauge("buddy.free_pages", self.free_pages, zone=self.name)
-        sanitize.notify("buddy.free", allocator=self, pfn=pfn, order=recorded)
+        self.coalesce_count += merges
+        return merges
 
     def contains(self, pfn: int) -> bool:
         """Whether ``pfn`` is managed by this allocator."""

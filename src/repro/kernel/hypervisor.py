@@ -130,6 +130,60 @@ class GuestPhysicalWindow(DramModule):
         host_row = self.host_address(row * self.geometry.row_bytes) // self.geometry.row_bytes
         return self._host.decay_bits(host_row, bit_positions)
 
+    def _host_addresses(self, addresses: "np.ndarray") -> "np.ndarray":
+        """Vectorized :meth:`host_address` for in-window addresses."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        return np.where(
+            addrs < self._data_size,
+            self._data_base + addrs,
+            self._ptp_base + (addrs - self._data_size),
+        )
+
+    def _in_window(self, addresses: "np.ndarray", length: int) -> bool:
+        addrs = np.asarray(addresses, dtype=np.int64)
+        return not (
+            bool(np.any(addrs < 0))
+            or bool(np.any(addrs + length > self.geometry.total_bytes))
+        )
+
+    def read_many(self, addresses: "np.ndarray", length: int) -> List[bytes]:
+        """Batched :meth:`read`, forwarded to the host in one call."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, length):
+            return [self.read(address, length) for address in addrs.tolist()]
+        self.read_count += int(addrs.size)
+        return self._host.read_many(self._host_addresses(addrs), length)
+
+    def read_u64_many(self, addresses: "np.ndarray") -> "np.ndarray":
+        """Batched :meth:`read_u64`, forwarded to the host in one call."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, 8):
+            return np.array(
+                [self.read_u64(address) for address in addrs.tolist()],
+                dtype=np.uint64,
+            )
+        self.read_count += int(addrs.size)
+        return self._host.read_u64_many(self._host_addresses(addrs))
+
+    def write_many(self, addresses: "np.ndarray", data: bytes) -> None:
+        """Batched :meth:`write`, forwarded to the host in one call."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, len(data)):
+            for address in addrs.tolist():
+                self.write(address, data)
+            return
+        self.write_count += int(addrs.size)
+        self._host.write_many(self._host_addresses(addrs), data)
+
+    def write_u64_many(self, addresses: "np.ndarray", values: "np.ndarray") -> None:
+        """Batched :meth:`write_u64`, forwarded to the host in one call."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if not self._in_window(addrs, 8):
+            super().write_u64_many(addrs, values)
+            return
+        self.write_count += int(addrs.size)
+        self._host.write_u64_many(self._host_addresses(addrs), values)
+
     # -- forwarded fast paths -------------------------------------------------
     # The base-class batched primitives operate in place on *this* module's
     # sparse rows; a window has no storage of its own, so every one of them

@@ -465,7 +465,12 @@ class Mmu:
             physical[i] = frame_pa | offset
         return physical
 
-    def _walk_many(self, cr3: int, vpns: np.ndarray) -> Dict[int, tuple]:
+    def _walk_many(
+        self,
+        cr3: int,
+        vpns: np.ndarray,
+        visited: Optional[List[Tuple[int, np.ndarray, np.ndarray]]] = None,
+    ) -> Dict[int, tuple]:
         """Walk each distinct VPN once as a level-at-a-time numpy frontier.
 
         Every missing VPN advances through the radix tree together: per
@@ -484,6 +489,11 @@ class Mmu:
         ``mmu.walk.frontier_batches``, ``mmu.walk.levels`` and the
         ``dram.resident_rows`` gauge — is documented as outside that
         contract (it only exists on the frontier path).
+
+        When ``visited`` is a list, each level appends ``(level, vpns,
+        table_bases)``: the frontier's VPNs and the base of the table each
+        one reads at that level (the kernel's batched fault path checks
+        that these tables form a proper tree before trusting the walk).
         """
         dram = self._dram
         total_bytes = dram.geometry.total_bytes
@@ -500,6 +510,8 @@ class Mmu:
             if vpn_a.size == 0:
                 break
             levels_walked += 1
+            if visited is not None:
+                visited.append((level, vpn_a, table_a))
             shift = BITS_PER_LEVEL * (NUM_LEVELS - 1 - position)
             idx = (vpn_a >> shift) & (ENTRIES_PER_TABLE - 1)
             addrs = table_a + idx * 8

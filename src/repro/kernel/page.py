@@ -74,6 +74,10 @@ class PageFrameDatabase:
             self._frames[pfn] = existing
         return existing
 
+    def lookup(self, pfn: int) -> Optional[PageFrame]:
+        """The frame record for ``pfn`` if one exists (never creates one)."""
+        return self._frames.get(pfn)
+
     def mark_allocated(
         self,
         pfn: int,

@@ -9,8 +9,11 @@ touched 2 MiB region costs one page-table page).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.errors import ProcessError
 from repro.units import PAGE_SHIFT, PAGE_SIZE
@@ -97,38 +100,58 @@ class Process:
         #: Trusted processes may receive low-indicator-zero pages under the
         #: Section 5 hardening; attackers are untrusted.
         self.trusted = trusted
+        # Mappings sorted by start, with their starts alongside for bisect.
         self._vmas: List[VmArea] = []
+        self._starts: List[int] = []
         self._mmap_cursor = MMAP_BASE
 
     @property
     def vmas(self) -> List[VmArea]:
         """Current mappings, ascending by start."""
-        return sorted(self._vmas, key=lambda v: v.start)
+        return list(self._vmas)
 
     def find_vma(self, virtual_address: int) -> Optional[VmArea]:
         """The VMA containing ``virtual_address``, if any."""
-        for vma in self._vmas:
-            if vma.contains(virtual_address):
-                return vma
+        index = bisect.bisect_right(self._starts, virtual_address) - 1
+        if index >= 0 and virtual_address < self._vmas[index].end:
+            return self._vmas[index]
         return None
+
+    def find_vmas(self, virtual_addresses: np.ndarray) -> List[Optional[VmArea]]:
+        """:meth:`find_vma` for each address, with one ``searchsorted``."""
+        vas = np.asarray(virtual_addresses, dtype=np.int64)
+        if not self._vmas:
+            return [None] * int(vas.size)
+        indices = np.searchsorted(
+            np.asarray(self._starts, dtype=np.int64), vas, side="right"
+        ) - 1
+        vmas = self._vmas
+        return [
+            vmas[index] if index >= 0 and va < vmas[index].end else None
+            for index, va in zip(indices.tolist(), vas.tolist())
+        ]
 
     def add_vma(self, vma: VmArea) -> VmArea:
         """Insert a mapping, rejecting overlaps."""
-        for existing in self._vmas:
-            if vma.start < existing.end and existing.start < vma.end:
+        index = bisect.bisect_right(self._starts, vma.start)
+        for neighbour in self._vmas[max(index - 1, 0) : index + 1]:
+            if vma.start < neighbour.end and neighbour.start < vma.end:
                 raise ProcessError(
                     f"VMA [{vma.start:#x}, {vma.end:#x}) overlaps "
-                    f"[{existing.start:#x}, {existing.end:#x})"
+                    f"[{neighbour.start:#x}, {neighbour.end:#x})"
                 )
-        self._vmas.append(vma)
+        self._vmas.insert(index, vma)
+        self._starts.insert(index, vma.start)
         return vma
 
     def remove_vma(self, vma: VmArea) -> None:
         """Drop a mapping (pages are torn down by the kernel)."""
         try:
-            self._vmas.remove(vma)
+            index = self._vmas.index(vma)
         except ValueError:
             raise ProcessError("VMA not mapped in this process") from None
+        del self._vmas[index]
+        del self._starts[index]
 
     def reserve_va_range(self, length: int) -> int:
         """Pick the next free mmap address for a ``length``-byte mapping."""

@@ -93,15 +93,14 @@ def _page_vas(vma, num_pages: int) -> np.ndarray:
 
 
 def run_workload(
-    kernel: Kernel, profile: WorkloadProfile, process=None,
-    slow_reference: bool = False,
+    kernel: Kernel, profile: WorkloadProfile, process=None
 ) -> PerfResult:
     """Execute one workload iteration; returns timing and counters.
 
     The map/fault, access-sweep, and churn phases run through the batched
-    VM pipeline (:meth:`Kernel.mmap_touch_many`, :meth:`Mmu.load_many`);
-    ``slow_reference`` (or an armed fault plane, which the batched entry
-    points detect themselves) selects the per-page reference loops.
+    VM pipeline (:meth:`Kernel.mmap_touch_many`, :meth:`Mmu.load_many`),
+    which falls back to the per-page loops by itself when the fault plane
+    is armed.
     """
     if process is None:
         process = kernel.create_process()
@@ -109,7 +108,6 @@ def run_workload(
     pte_before = kernel.stats.pte_allocs
     faults_before = kernel.stats.demand_faults
     obs_before = obs.get_registry().snapshot()
-    scalar = slow_reference or kernel.module.fault_plane_armed
 
     start = time.perf_counter()
     regions = []
@@ -117,41 +115,25 @@ def run_workload(
     for region in range(profile.mapped_regions):
         base = WORKLOAD_BASE + region * REGION_STRIDE
         length = profile.pages_per_region * PAGE_SIZE
-        if scalar:
-            vma = kernel.mmap(process, length, address=base)
-            for page in range(profile.pages_per_region):
-                kernel.touch(process, vma.start + page * PAGE_SIZE, write=True)  # repro-lint: ignore[RL008] — slow_reference path
-        else:
-            vma, _ = kernel.mmap_touch_many(
-                process, length, address=base, write=True
-            )
+        vma, _ = kernel.mmap_touch_many(process, length, address=base, write=True)
         regions.append(vma)
     # Phase 2: access sweeps (translation pressure).
     for _ in range(profile.access_passes):
         for vma in regions:
-            if scalar:
-                for page in range(profile.pages_per_region):
-                    kernel.read_virtual(process, vma.start + page * PAGE_SIZE, 8)  # repro-lint: ignore[RL008] — slow_reference path
-            else:
-                kernel.mmu.load_many(
-                    process.cr3,
-                    _page_vas(vma, profile.pages_per_region),
-                    8,
-                    pid=process.pid,
-                )
+            kernel.mmu.load_many(
+                process.cr3,
+                _page_vas(vma, profile.pages_per_region),
+                8,
+                pid=process.pid,
+            )
     # Phase 3: map/unmap churn (allocator pressure).
     churn_base = WORKLOAD_BASE + profile.mapped_regions * REGION_STRIDE
     for cycle in range(profile.map_unmap_cycles):
         base = churn_base + (cycle % 8) * REGION_STRIDE
         try:
-            if scalar:
-                vma = kernel.mmap(process, 4 * PAGE_SIZE, address=base)
-                for page in range(4):
-                    kernel.touch(process, vma.start + page * PAGE_SIZE, write=True)  # repro-lint: ignore[RL008] — slow_reference path
-            else:
-                vma, _ = kernel.mmap_touch_many(
-                    process, 4 * PAGE_SIZE, address=base, write=True
-                )
+            vma, _ = kernel.mmap_touch_many(
+                process, 4 * PAGE_SIZE, address=base, write=True
+            )
             kernel.munmap(process, vma)
         except OutOfMemoryError:
             break

@@ -162,3 +162,67 @@ def test_property_full_drain_and_refill(seed):
         buddy.free_pages_block(pfn, order)
     assert buddy.free_pages == 256
     buddy.check_invariants()
+
+
+class TestAllocPagesMany:
+    """``alloc_pages_many`` equals rounds of alloc_pages + freeing rejects."""
+
+    @staticmethod
+    def _rounds(buddy, count, accept):
+        """The reference: the kernel's per-page indicator-hardening loop."""
+        pfns = []
+        for _ in range(count):
+            rejected = []
+            try:
+                while True:
+                    pfn = buddy.alloc_pages(0)
+                    if accept is None or accept(pfn):
+                        pfns.append(pfn)
+                        break
+                    rejected.append(pfn)
+            except OutOfMemoryError:
+                return pfns
+            finally:
+                for pfn in rejected:
+                    buddy.free_pages_block(pfn)
+        return pfns
+
+    @staticmethod
+    def _state(buddy, registry):
+        return (
+            {order: sorted(blocks) for order, blocks in buddy._free_lists.items()},
+            sorted(buddy._allocated.items()),
+            buddy.alloc_calls, buddy.split_count, buddy.coalesce_count,
+            buddy.failed_allocs, registry.export_state(),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        held=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=20),
+        count=st.integers(0, 80),
+        modulus=st.sampled_from([0, 2, 3, 7]),
+    )
+    def test_matches_alloc_pages_rounds(self, held, count, modulus):
+        from repro import obs
+
+        accept = None if modulus == 0 else (lambda pfn: pfn % modulus != 1)
+        sides = []
+        for batched in (False, True):
+            buddy = BuddyAllocator(start_pfn=5, end_pfn=5 + 64, name="Z")
+            live = []
+            for order, free_it in held:
+                try:
+                    live.append(buddy.alloc_pages(order))
+                except OutOfMemoryError:
+                    continue
+                if free_it and len(live) > 1:
+                    buddy.free_pages_block(live.pop(0))
+            registry = obs.Registry()
+            obs.set_registry(registry)
+            if batched:
+                pfns = buddy.alloc_pages_many(count, accept)
+            else:
+                pfns = self._rounds(buddy, count, accept)
+            buddy.check_invariants()
+            sides.append((pfns, self._state(buddy, registry)))
+        assert sides[0] == sides[1]
