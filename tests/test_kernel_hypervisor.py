@@ -90,6 +90,28 @@ class TestHypervisor:
         for host_pfn in hypervisor.host_page_tables():
             assert host_pfn >= base
 
+    def test_guest_batched_paging_reads_and_writes_host_memory(self, hypervisor):
+        """The batched walk, zeroing and leaf stores go through the window.
+
+        After a TLB flush every page is walked again; a walk that read
+        the window's own (never written) rows would see no page tables
+        and re-fault pages that are mapped.
+        """
+        vm = hypervisor.create_guest(data_bytes=4 * MIB, ptp_bytes=MIB)
+        kernel = vm.kernel
+        process = kernel.create_process()
+        vma = kernel.mmap(process, 16 * PAGE_SIZE)
+        vas = [vma.start + page * PAGE_SIZE for page in range(16)]
+        pas = kernel.touch_many(process, vas, write=True)
+        kernel.tlb.flush()
+        assert kernel.touch_many(process, vas, write=True) == pas
+        assert kernel.stats.demand_faults == 16
+        translated = kernel.mmu.translate_many(process.cr3, vas, pid=process.pid)
+        assert list(translated) == pas
+        kernel.write_virtual(process, vas[3], b"guest")
+        assert kernel.read_virtual(process, vas[3], 5) == b"guest"
+        hypervisor.verify_isolation()
+
     def test_guest_data_lands_below_zone(self, hypervisor):
         vm = hypervisor.create_guest(data_bytes=4 * MIB, ptp_bytes=MIB)
         process = vm.kernel.create_process()
